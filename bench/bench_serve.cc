@@ -72,7 +72,6 @@
 
 #include "core/rng.h"
 #include "llm/generate.h"
-#include "llm/minillm.h"
 #include "net/router.h"
 #include "net/rpc.h"
 #include "net/service.h"
@@ -82,14 +81,17 @@
 #include "obs/perfgate.h"
 #include "obs/sync.h"
 #include "obs/trace.h"
-#include "quant/indexing.h"
 #include "serve/chaos.h"
 #include "serve/server.h"
-#include "text/vocab.h"
+#include "serve/toy_system.h"
 
 namespace {
 
 using namespace lcrec;
+using serve::ToySystem;
+
+/// Beam width of every benched server and of the sequential baseline.
+constexpr int kBeamSize = 8;
 
 struct ServeFlags {
   int requests = 400;
@@ -156,47 +158,6 @@ struct ServeFlags {
   }
 };
 
-/// The benched system: a tiny untrained MiniLlm (decode cost does not
-/// depend on the weights) over a random item index shared by the server
-/// and the sequential baseline.
-struct Bench {
-  text::Vocabulary vocab;
-  quant::ItemIndexing indexing = quant::ItemIndexing::VanillaId(1);
-  std::unique_ptr<quant::PrefixTrie> trie;
-  std::unique_ptr<llm::MiniLlm> model;
-  std::unique_ptr<llm::IndexTokenMap> token_map;
-  int beam_size = 8;
-
-  explicit Bench(uint64_t seed) {
-    core::Rng rng(seed);
-    indexing = quant::ItemIndexing::Random(/*items=*/48, /*levels=*/3,
-                                           /*codes=*/6, rng);
-    trie = std::make_unique<quant::PrefixTrie>(indexing);
-    for (const std::string& tok : indexing.AllTokenStrings()) {
-      vocab.AddToken(tok);
-    }
-    llm::MiniLlmConfig cfg;
-    cfg.vocab_size = vocab.size();
-    cfg.d_model = 32;
-    cfg.n_heads = 4;
-    cfg.n_layers = 2;
-    cfg.d_ff = 64;
-    cfg.max_seq = 64;
-    cfg.seed = 3;
-    model = std::make_unique<llm::MiniLlm>(cfg);
-    token_map = std::make_unique<llm::IndexTokenMap>(indexing, vocab);
-  }
-
-  serve::PromptBuilder Builder() const {
-    int v = vocab.size();
-    return [v](const std::vector<int>& history) {
-      std::vector<int> prompt = {text::Vocabulary::kBos};
-      for (int item : history) prompt.push_back(4 + (item % (v - 4)));
-      return prompt;
-    };
-  }
-};
-
 /// Zipfian trace: request r asks for history rank drawn with
 /// P(rank) ~ 1/(rank+1)^s — the head histories repeat (cacheable), the
 /// tail stays cold, like production recommendation traffic.
@@ -248,7 +209,7 @@ struct LoadResult {
 /// Sequential single-request baseline: one thread, one GenerateItems per
 /// trace entry, no batching, no caching — the floor the server must
 /// beat by >= 3x at concurrency >= 8 (ISSUE acceptance).
-LoadResult RunSequential(const Bench& bench,
+LoadResult RunSequential(const ToySystem& bench,
                          const std::vector<std::vector<int>>& trace,
                          int top_n) {
   serve::PromptBuilder builder = bench.Builder();
@@ -256,9 +217,9 @@ LoadResult RunSequential(const Bench& bench,
   auto start = std::chrono::steady_clock::now();
   for (const auto& history : trace) {
     auto t0 = std::chrono::steady_clock::now();
-    auto items = llm::GenerateItems(*bench.model, builder(history),
-                                    *bench.trie, *bench.token_map,
-                                    bench.beam_size, top_n);
+    auto items = llm::GenerateItems(bench.model, builder(history),
+                                    bench.trie, bench.token_map,
+                                    kBeamSize, top_n);
     if (items.empty()) ++result.errors;
     auto t1 = std::chrono::steady_clock::now();
     result.latency_ms.push_back(
@@ -274,13 +235,13 @@ LoadResult RunSequential(const Bench& bench,
 
 /// Closed loop: `concurrency` client threads issue trace entries
 /// back-to-back; latency is per-call wall time.
-LoadResult RunClosedLoop(const Bench& bench,
+LoadResult RunClosedLoop(const ToySystem& bench,
                          const std::vector<std::vector<int>>& trace,
                          int concurrency, int top_n) {
   serve::ServerOptions opts;
-  opts.beam_size = bench.beam_size;
+  opts.beam_size = kBeamSize;
   opts.max_batch_lanes = concurrency;
-  serve::Server server(*bench.model, *bench.trie, *bench.token_map,
+  serve::Server server(bench.model, bench.trie, bench.token_map,
                        bench.Builder(), opts);
 
   std::atomic<size_t> next{0};
@@ -357,13 +318,13 @@ std::map<std::string, double> TailStageBreakdownUs(const LoadResult& r) {
 /// the schedule, so queueing delay under load is visible. (With all
 /// workers busy, arrivals are effectively delayed — the usual pooled
 /// open-loop caveat.)
-LoadResult RunOpenLoop(const Bench& bench,
+LoadResult RunOpenLoop(const ToySystem& bench,
                        const std::vector<std::vector<int>>& trace,
                        int concurrency, double qps, int top_n) {
   serve::ServerOptions opts;
-  opts.beam_size = bench.beam_size;
+  opts.beam_size = kBeamSize;
   opts.max_batch_lanes = concurrency;
-  serve::Server server(*bench.model, *bench.trie, *bench.token_map,
+  serve::Server server(bench.model, bench.trie, bench.token_map,
                        bench.Builder(), opts);
 
   auto start = std::chrono::steady_clock::now();
@@ -462,13 +423,13 @@ std::vector<double> RunTimedDecodeLoad(serve::Server& server, int concurrency,
 /// capture in flight for ~2/3 of the run. The p95 under profiling must
 /// stay within 5% (+ 0.25 ms absolute slack, so microsecond-scale p95s
 /// don't fail on jitter) of the scrape-only baseline.
-bool RunDebugzMeasurement(const Bench& bench, const ServeFlags& flags,
+bool RunDebugzMeasurement(const ToySystem& bench, const ServeFlags& flags,
                           obs::PerfRecord* rec) {
   serve::ServerOptions opts;
-  opts.beam_size = bench.beam_size;
+  opts.beam_size = kBeamSize;
   opts.max_batch_lanes = flags.concurrency;
   opts.debug_port = flags.debug_port;
-  serve::Server server(*bench.model, *bench.trie, *bench.token_map,
+  serve::Server server(bench.model, bench.trie, bench.token_map,
                        bench.Builder(), opts);
   obs::DebugServer& debugz = obs::DebugServer::Global();
   if (!debugz.running()) {
@@ -570,7 +531,7 @@ struct ChaosResult {
   int degraded_by_level[4] = {0, 0, 0, 0};  // indexed by DegradeLevel
 };
 
-ChaosResult RunChaosLoop(const Bench& bench,
+ChaosResult RunChaosLoop(const ToySystem& bench,
                          const std::vector<std::vector<int>>& trace,
                          int concurrency, int top_n, uint64_t seed) {
   constexpr double kDeadlineMs = 100.0;
@@ -589,11 +550,11 @@ ChaosResult RunChaosLoop(const Bench& bench,
   serve::chaos::ArmChaos(specs, seed);
 
   serve::ServerOptions opts;
-  opts.beam_size = bench.beam_size;
+  opts.beam_size = kBeamSize;
   opts.max_batch_lanes = concurrency;
   opts.cache_ttl_ms = 50.0;  // repeats can age into the stale tier
   opts.slow_request_ms = 0.0;
-  serve::Server server(*bench.model, *bench.trie, *bench.token_map,
+  serve::Server server(bench.model, bench.trie, bench.token_map,
                        bench.Builder(), opts);
 
   std::atomic<size_t> next{0};
@@ -717,15 +678,15 @@ struct NetCluster {
   std::vector<std::unique_ptr<net::RpcServer>> rpcs;
   std::unique_ptr<net::Router> router;
 
-  bool Start(const Bench& bench, int workers, int concurrency,
+  bool Start(const ToySystem& bench, int workers, int concurrency,
              std::string* error) {
     net::RouterOptions ropts;
     for (int w = 0; w < workers; ++w) {
       serve::ServerOptions sopts;
-      sopts.beam_size = bench.beam_size;
+      sopts.beam_size = kBeamSize;
       sopts.max_batch_lanes = concurrency;
       servers.push_back(std::make_unique<serve::Server>(
-          *bench.model, *bench.trie, *bench.token_map, bench.Builder(),
+          bench.model, bench.trie, bench.token_map, bench.Builder(),
           sopts));
       net::RpcServerOptions wopts;
       wopts.dispatch_threads = concurrency;
@@ -761,7 +722,7 @@ struct NetCluster {
 /// fragmentation, not serving capacity. What sharding buys is decode
 /// throughput — that is what the curve should show, and on a one-core
 /// box it honestly shows ~1x.
-bool RunNetCurve(const Bench& bench, const ServeFlags& flags, int top_n,
+bool RunNetCurve(const ToySystem& bench, const ServeFlags& flags, int top_n,
                  obs::PerfRecord* rec) {
   constexpr double kNetTolerance = 0.60;
   constexpr int kWorkerCounts[] = {1, 2, 4};
@@ -919,7 +880,7 @@ int main(int argc, char** argv) {
     obs::SetDeadlockMode(obs::DeadlockMode::kReport);
   }
 
-  Bench bench(flags.seed);
+  ToySystem bench(flags.seed);
   std::vector<std::vector<int>> trace = MakeTrace(flags);
 
   auto mutex_wait_total_us = [] {

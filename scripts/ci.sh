@@ -3,10 +3,12 @@
 # a pass/fail summary table at the end. Exit code is non-zero when any
 # gate fails (skipped gates do not fail the run).
 #
-#   scripts/ci.sh            # tier-1 tests, fault suite, serve smoke,
-#                            # flightrec crash-dump smoke, debugz probe,
-#                            # deadlock-detector probe, chaos-injection
-#                            # probe, sharded-cluster drain handoff,
+#   scripts/ci.sh            # tier-1 tests, fault suite, flake repeat
+#                            # of the threaded serve/debugz tests, serve
+#                            # smoke, flightrec crash-dump smoke, debugz
+#                            # probe, deadlock-detector probe,
+#                            # chaos-injection probe, sharded-cluster
+#                            # drain handoff,
 #                            # lint, strict build, ASan+UBSan
 #   scripts/ci.sh debugz     # just the named gate(s) — build runs first
 #                            # automatically unless it was named
@@ -60,6 +62,15 @@ gate_fault() {
   # resume equivalence, health rollback. Default-on (no env gate) — these
   # are plain unit tests, just grouped under their own CTest label.
   ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" -L fault
+}
+gate_flake() {
+  # Determinism under load: the threaded serving, batching and debugz
+  # suites, each test repeated until it fails (at most 5 passes) while
+  # the whole selection runs at -j$(nproc). A test that passes alone but
+  # fails here depends on timing or on a racy snapshot.
+  ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}" \
+    --repeat until-fail:5 \
+    -R "^(ServeTest|ServeObsTest|ResilienceTest|BatchGenTest|DebugzTest)\."
 }
 gate_lint() {
   "${build_dir}/tools/lcrec_lint" --root "${repo_root}" &&
@@ -306,7 +317,7 @@ gate_flightrec() {
 # Gate selection: with positional args, run only the named gates (the
 # build gate is prepended automatically — everything needs binaries).
 # Unknown names fail fast so a typo can't silently skip a gate.
-known_gates="build tier1_tests fault serve_smoke flightrec debugz \
+known_gates="build tier1_tests fault flake serve_smoke flightrec debugz \
 deadlock chaos net lcrec_lint check_warnings asan_ubsan tsan perf_regress"
 selected=("$@")
 if [[ ${#selected[@]} -gt 0 ]]; then
@@ -330,6 +341,7 @@ wants() {
 wants build          && { run_gate "build"          gate_build     || overall=1; }
 wants tier1_tests    && { run_gate "tier1_tests"    gate_tests     || overall=1; }
 wants fault          && { run_gate "fault"          gate_fault     || overall=1; }
+wants flake          && { run_gate "flake"          gate_flake     || overall=1; }
 wants serve_smoke    && { run_gate "serve_smoke"    gate_serve     || overall=1; }
 wants flightrec      && { run_gate "flightrec"      gate_flightrec || overall=1; }
 wants debugz         && { run_gate "debugz"         gate_debugz    || overall=1; }

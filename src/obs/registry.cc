@@ -153,6 +153,9 @@ void MetricsRegistry::DumpPrometheus(std::ostream& out) const {
     std::string name = PromName(kv.first);
     out << "# TYPE " << name << " histogram\n";
     const std::vector<double>& bounds = h.bounds();
+    // One snapshot feeds every line: +Inf and _count are its total, so a
+    // concurrent Observe (bucket bumped before count_) cannot make them
+    // disagree with the cumulative buckets.
     std::vector<int64_t> buckets = h.bucket_counts();
     int64_t cumulative = 0;
     for (size_t i = 0; i < bounds.size(); ++i) {
@@ -160,9 +163,10 @@ void MetricsRegistry::DumpPrometheus(std::ostream& out) const {
       out << name << "_bucket{le=\"" << PromNumber(bounds[i]) << "\"} "
           << cumulative << '\n';
     }
-    out << name << "_bucket{le=\"+Inf\"} " << h.count() << '\n'
+    const int64_t total = cumulative + buckets.back();
+    out << name << "_bucket{le=\"+Inf\"} " << total << '\n'
         << name << "_sum " << PromNumber(h.sum()) << '\n'
-        << name << "_count " << h.count() << '\n';
+        << name << "_count " << total << '\n';
   }
 }
 

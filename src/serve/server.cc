@@ -461,87 +461,104 @@ void Server::DegradeOrShed(const PendingPtr& pending, Status shed_status,
   ResolveDegraded(pending, std::move(resp), "popularity");
 }
 
-void Server::DecodeInline(const PendingPtr& pending) {
-  ServeMetrics& sm = ServeMetrics::Get();
+bool Server::PassDecodeGate(const PendingPtr& pending) {
   if (!breaker_.Allow()) {
-    sm.breaker_short_circuits.Increment();
+    ServeMetrics::Get().breaker_short_circuits.Increment();
     stats_.breaker_short_circuits.fetch_add(1, std::memory_order_relaxed);
     DegradeOrShed(pending, Status::kShedDecodeFailure, "breaker_open");
-    return;
+    return false;
   }
   if (!PassChaosDecode()) {
     breaker_.RecordFailure();
     DegradeOrShed(pending, Status::kShedDecodeFailure, "decode_failed");
-    return;
+    return false;
   }
-  if (pending->deadline_ms > 0.0 && options_.degraded_fallbacks) {
-    // Deadline-bearing inline decode: run a private one-lane engine so
-    // the deadline budget is enforced tick by tick (partial decode
-    // instead of a late full one).
-    double deadline_us = pending->submit_us + pending->deadline_ms * 1000.0;
-    double remaining_us = deadline_us - obs::NowMicros();
-    llm::LaneOptions lane;
-    lane.deadline_us = deadline_us;
-    if (remaining_us <
-        options_.budget_cap_fraction * pending->deadline_ms * 1000.0) {
-      lane.beam_cap = options_.degraded_beam;
-      pending->beam_capped = true;
-    }
-    llm::BatchEngine local(model_, trie_, token_map_, options_.beam_size);
-    local.Admit(1, pending->prompt, pending->top_n, lane);
-    llm::BatchResult result;
-    while (!local.Idle()) {
-      for (llm::BatchResult& r : local.Tick()) result = std::move(r);
-    }
-    stats_.decoded.fetch_add(1, std::memory_order_relaxed);
-    if (result.partial) {
-      breaker_.RecordFailure();
-      if (result.items.empty()) {
-        DegradeOrShed(pending, Status::kShedDeadline, "deadline_decode");
-        return;
-      }
-      pending->timeline.Mark("respond");
-      RecommendResponse resp;
-      resp.status = Status::kOk;
-      resp.inline_path = true;
-      resp.degrade = DegradeLevel::kBudgetCapped;
-      resp.items = std::move(result.items);
-      ResolveDegraded(pending, std::move(resp), "partial_decode");
-      return;
-    }
-    breaker_.RecordSuccess();
-    pending->timeline.Mark("respond");
-    // Only a full-beam, complete decode may populate the cache: the key
-    // hashes the full beam width, and degraded rankings must never
-    // impersonate full ones.
-    if (result.beam_used == options_.beam_size) {
-      cache_.Put(pending->key, result.items);
-    }
-    RecommendResponse resp;
-    resp.status = Status::kOk;
-    resp.inline_path = true;
-    if (pending->beam_capped) {
-      resp.degrade = DegradeLevel::kBudgetCapped;
-      resp.items = std::move(result.items);
-      ResolveDegraded(pending, std::move(resp), "budget_capped");
-      return;
-    }
-    resp.items = std::move(result.items);
-    Resolve(pending, std::move(resp));
-    return;
+  return true;
+}
+
+llm::LaneOptions Server::LaneFor(Pending* pending, double now_us) const {
+  llm::LaneOptions lane;
+  if (pending->deadline_ms <= 0.0 || !options_.degraded_fallbacks) return lane;
+  // Thread the deadline budget into the engine: the lane retires (with
+  // partial results) at the first tick past its deadline, and a lane
+  // admitted with most of its budget already burned decodes at the
+  // reduced beam — fewer forwards per tick buys more depth per ms.
+  lane.deadline_us = pending->submit_us + pending->deadline_ms * 1000.0;
+  double remaining_us = lane.deadline_us - now_us;
+  if (remaining_us <
+      options_.budget_cap_fraction * pending->deadline_ms * 1000.0) {
+    lane.beam_cap = options_.degraded_beam;
+    pending->beam_capped = true;
   }
-  std::vector<llm::ScoredItem> items =
-      llm::GenerateItems(model_, pending->prompt, trie_, token_map_,
-                         options_.beam_size, pending->top_n);
-  breaker_.RecordSuccess();
+  return lane;
+}
+
+void Server::ResolveDecode(const PendingPtr& pending, llm::BatchResult result,
+                           bool inline_path) {
   stats_.decoded.fetch_add(1, std::memory_order_relaxed);
-  pending->timeline.Mark("respond");
-  cache_.Put(pending->key, items);
   RecommendResponse resp;
   resp.status = Status::kOk;
-  resp.inline_path = true;
-  resp.items = std::move(items);
-  Resolve(pending, std::move(resp));
+  resp.inline_path = inline_path;
+  if (!inline_path) {
+    // Only scheduled lanes share ticks, so only they carry a tick share.
+    pending->timeline.Mark("retire");
+    resp.debug.decode_ticks = result.ticks;
+    resp.debug.decode_share_us = result.decode_us;
+  }
+  if (result.partial) {
+    // Deadline budget exhausted mid-decode: the engine is too slow for
+    // this request's budget — a breaker-visible outcome.
+    breaker_.RecordFailure();
+    if (result.items.empty() || !options_.degraded_fallbacks) {
+      DegradeOrShed(pending, Status::kShedDeadline, "deadline_decode");
+      return;
+    }
+    resp.degrade = DegradeLevel::kBudgetCapped;
+    resp.items = std::move(result.items);
+    pending->timeline.Mark("respond");
+    ResolveDegraded(pending, std::move(resp), "partial_decode");
+    return;
+  }
+  breaker_.RecordSuccess();
+  // Only a full-beam, complete decode may populate the cache: the key
+  // hashes the full beam width, and degraded rankings must never
+  // impersonate full ones.
+  if (result.beam_used == options_.beam_size) {
+    cache_.Put(pending->key, result.items);
+  }
+  resp.items = std::move(result.items);
+  pending->timeline.Mark("respond");  // resolve-to-wakeup latency
+  if (pending->beam_capped) {
+    resp.degrade = DegradeLevel::kBudgetCapped;
+    ResolveDegraded(pending, std::move(resp), "budget_capped");
+  } else {
+    Resolve(pending, std::move(resp));
+  }
+}
+
+void Server::DecodeInline(const PendingPtr& pending) {
+  if (!PassDecodeGate(pending)) return;
+  llm::LaneOptions lane = LaneFor(pending.get(), obs::NowMicros());
+  llm::BatchResult result;
+  if (lane.deadline_us > 0.0) {
+    // A deadline budget is enforced tick by tick (partial decode instead
+    // of a late full one), so it needs a private one-lane engine.
+    llm::BatchEngine engine(model_, trie_, token_map_, options_.beam_size);
+    engine.Admit(0, std::move(pending->prompt), pending->top_n, lane);
+    while (!engine.Idle()) {
+      for (llm::BatchResult& r : engine.Tick()) result = std::move(r);
+    }
+  } else {
+    // Same ranking, bit for bit, at a lower heap high-water: Tick copies
+    // every child's KV cache before growing it, which leaves each
+    // decoding thread's malloc arena ~0.35 MB larger (perfbench
+    // offline_eval, 4-vCPU host: +10% peak RSS on the engine).
+    result.items = llm::GenerateItems(model_, pending->prompt, trie_,
+                                      token_map_, options_.beam_size,
+                                      pending->top_n);
+    result.beam_used = options_.beam_size;
+  }
+  ResolveDecode(pending, std::move(result), /*inline_path=*/true);
 }
 
 void Server::AdmitOrShed(PendingPtr pending,
@@ -555,31 +572,8 @@ void Server::AdmitOrShed(PendingPtr pending,
       return;
     }
   }
-  if (!breaker_.Allow()) {
-    ServeMetrics::Get().breaker_short_circuits.Increment();
-    stats_.breaker_short_circuits.fetch_add(1, std::memory_order_relaxed);
-    DegradeOrShed(pending, Status::kShedDecodeFailure, "breaker_open");
-    return;
-  }
-  if (!PassChaosDecode()) {
-    breaker_.RecordFailure();
-    DegradeOrShed(pending, Status::kShedDecodeFailure, "decode_failed");
-    return;
-  }
-  llm::LaneOptions lane;
-  if (pending->deadline_ms > 0.0 && options_.degraded_fallbacks) {
-    // Thread the deadline budget into the engine: the lane retires (with
-    // partial results) at the first tick past its deadline, and a lane
-    // admitted with most of its budget already burned decodes at the
-    // reduced beam — fewer forwards per tick buys more depth per ms.
-    lane.deadline_us = pending->submit_us + pending->deadline_ms * 1000.0;
-    double remaining_us = lane.deadline_us - now_us;
-    if (remaining_us <
-        options_.budget_cap_fraction * pending->deadline_ms * 1000.0) {
-      lane.beam_cap = options_.degraded_beam;
-      pending->beam_capped = true;
-    }
-  }
+  if (!PassDecodeGate(pending)) return;
+  llm::LaneOptions lane = LaneFor(pending.get(), now_us);
   uint64_t tag = next_tag_.fetch_add(1, std::memory_order_relaxed);
   pending->timeline.Mark("decode");
   engine_.Admit(tag, std::move(pending->prompt), pending->top_n, lane);
@@ -624,42 +618,7 @@ void Server::SchedulerLoop() {
       if (it == by_tag.end()) continue;
       PendingPtr p = std::move(it->second);
       by_tag.erase(it);
-      stats_.decoded.fetch_add(1, std::memory_order_relaxed);
-      p->timeline.Mark("retire");
-      if (r.partial) {
-        // Deadline budget exhausted mid-decode: the engine is too slow
-        // for this request's budget — a breaker-visible outcome.
-        breaker_.RecordFailure();
-        if (r.items.empty() || !options_.degraded_fallbacks) {
-          DegradeOrShed(p, Status::kShedDeadline, "deadline_decode");
-          continue;
-        }
-        RecommendResponse resp;
-        resp.status = Status::kOk;
-        resp.degrade = DegradeLevel::kBudgetCapped;
-        resp.items = std::move(r.items);
-        resp.debug.decode_ticks = r.ticks;
-        resp.debug.decode_share_us = r.decode_us;
-        p->timeline.Mark("respond");
-        ResolveDegraded(p, std::move(resp), "partial_decode");
-        continue;
-      }
-      breaker_.RecordSuccess();
-      // Degraded (reduced-beam) rankings never enter the cache: the key
-      // hashes the full beam width.
-      if (r.beam_used == options_.beam_size) cache_.Put(p->key, r.items);
-      RecommendResponse resp;
-      resp.status = Status::kOk;
-      resp.items = std::move(r.items);
-      resp.debug.decode_ticks = r.ticks;
-      resp.debug.decode_share_us = r.decode_us;
-      p->timeline.Mark("respond");  // resolve-to-wakeup latency
-      if (p->beam_capped) {
-        resp.degrade = DegradeLevel::kBudgetCapped;
-        ResolveDegraded(p, std::move(resp), "budget_capped");
-      } else {
-        Resolve(p, std::move(resp));
-      }
+      ResolveDecode(p, std::move(r), /*inline_path=*/false);
     }
   }
   tick_start_us_.store(0.0, std::memory_order_relaxed);

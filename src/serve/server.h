@@ -210,8 +210,23 @@ class Server {
   /// Publishes `response` on `pending`, removes it from the in-flight
   /// table, and wakes every waiter.
   void Resolve(const PendingPtr& pending, RecommendResponse response);
-  /// Decodes sequentially on the calling thread (fast path).
+  /// Decodes on the calling thread (fast path): gate, lane, resolver —
+  /// the scheduled path minus the handoff. A deadline-bearing lane runs
+  /// on a private one-lane BatchEngine, a default lane on GenerateItems.
   void DecodeInline(const PendingPtr& pending);
+  /// Breaker Allow() plus the chaos decode gauntlet, ahead of every
+  /// decode. On refusal degrades or sheds `pending` and returns false.
+  bool PassDecodeGate(const PendingPtr& pending);
+  /// The engine lane for `pending` starting at `now_us`: the default
+  /// lane without a deadline (or with degraded_fallbacks off), else the
+  /// deadline budget, at degraded_beam (marking `beam_capped`) once less
+  /// than budget_cap_fraction of it is left.
+  llm::LaneOptions LaneFor(Pending* pending, double now_us) const;
+  /// Finishes a decoded lane: breaker outcome, cache fill (full beam,
+  /// complete decodes only), tier label, Resolve. Scheduled lanes also
+  /// get the retire mark and their tick attribution.
+  void ResolveDecode(const PendingPtr& pending, llm::BatchResult result,
+                     bool inline_path);
   /// Blocks until `pending` resolves, then finishes `timeline` (this
   /// caller's own — the leader passes &pending->timeline, a follower its
   /// local one), fills the response's debug breakdown from it, and

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -267,19 +268,40 @@ TEST_F(ServeTest, ExpiredDeadlineIsShedAtAdmission) {
 }
 
 TEST_F(ServeTest, IdleServerServesSingleRequestInline) {
-  ServerOptions opts;
-  opts.beam_size = 6;
-  auto server = MakeServer(opts);
-  RecommendRequest req;
-  req.history = {5, 9};
-  RecommendResponse resp = server->Recommend(req);
-  ASSERT_EQ(resp.status, Status::kOk);
-  EXPECT_TRUE(resp.inline_path);
-  ExpectSameRanking(resp.items, Reference(req, opts.beam_size));
-  ServerStats s = server->stats();
-  EXPECT_EQ(s.inline_fast_path, 1);
-  // The request never waited on the scheduler: no batching-delay tax.
-  EXPECT_EQ(s.batch_ticks, 0);
+  // Without a deadline (GenerateItems) and with a long one (a one-lane
+  // engine): both inline decoders must answer exactly like the offline
+  // decoder, finish as a full answer, and fill the cache.
+  for (double deadline_ms : {0.0, 60000.0}) {
+    SCOPED_TRACE(deadline_ms);
+    ServerOptions opts;
+    opts.beam_size = 6;
+    auto server = MakeServer(opts);
+    RecommendRequest req;
+    req.history = {5, 9};
+    req.deadline_ms = deadline_ms;
+    RecommendResponse resp = server->Recommend(req);
+    ASSERT_EQ(resp.status, Status::kOk);
+    EXPECT_TRUE(resp.inline_path);
+    EXPECT_STREQ(resp.degrade_label, "full");
+    EXPECT_EQ(resp.debug.decode_ticks, 0);
+    std::vector<std::string> stages;
+    for (const obs::StageSpan& st : resp.debug.stages) {
+      stages.push_back(st.stage);
+    }
+    EXPECT_EQ(stages, (std::vector<std::string>{"build", "cache_lookup",
+                                                "decode", "respond"}));
+    ExpectSameRanking(resp.items, Reference(req, opts.beam_size));
+    ServerStats s = server->stats();
+    EXPECT_EQ(s.inline_fast_path, 1);
+    // The request never waited on the scheduler: no batching-delay tax.
+    EXPECT_EQ(s.batch_ticks, 0);
+
+    RecommendResponse again = server->Recommend(req);
+    ASSERT_EQ(again.status, Status::kOk);
+    EXPECT_TRUE(again.cache_hit);
+    ExpectSameRanking(again.items, resp.items);
+    EXPECT_EQ(server->stats().decoded, 1);
+  }
 }
 
 TEST_F(ServeTest, InlineDisabledStillMatchesReference) {

@@ -25,17 +25,13 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/rng.h"
-#include "llm/minillm.h"
-#include "quant/indexing.h"
 #include "serve/chaos.h"
 #include "serve/server.h"
-#include "text/vocab.h"
+#include "serve/toy_system.h"
 
 namespace {
 
@@ -49,46 +45,6 @@ void Expect(bool ok, const std::string& what) {
     ++g_failures;
   }
 }
-
-/// Same tiny system bench_serve and debugz_probe load: an untrained
-/// MiniLlm over a random item index — decode cost is weight-independent,
-/// so the full serve path runs at CI-friendly speed.
-struct Probe {
-  text::Vocabulary vocab;
-  quant::ItemIndexing indexing = quant::ItemIndexing::VanillaId(1);
-  std::unique_ptr<quant::PrefixTrie> trie;
-  std::unique_ptr<llm::MiniLlm> model;
-  std::unique_ptr<llm::IndexTokenMap> token_map;
-
-  Probe() {
-    core::Rng rng(7);
-    indexing = quant::ItemIndexing::Random(/*items=*/48, /*levels=*/3,
-                                           /*codes=*/6, rng);
-    trie = std::make_unique<quant::PrefixTrie>(indexing);
-    for (const std::string& tok : indexing.AllTokenStrings()) {
-      vocab.AddToken(tok);
-    }
-    llm::MiniLlmConfig cfg;
-    cfg.vocab_size = vocab.size();
-    cfg.d_model = 32;
-    cfg.n_heads = 4;
-    cfg.n_layers = 2;
-    cfg.d_ff = 64;
-    cfg.max_seq = 64;
-    cfg.seed = 3;
-    model = std::make_unique<llm::MiniLlm>(cfg);
-    token_map = std::make_unique<llm::IndexTokenMap>(indexing, vocab);
-  }
-
-  serve::PromptBuilder Builder() const {
-    int v = vocab.size();
-    return [v](const std::vector<int>& history) {
-      std::vector<int> prompt = {text::Vocabulary::kBos};
-      for (int item : history) prompt.push_back(4 + (item % (v - 4)));
-      return prompt;
-    };
-  }
-};
 
 /// Per-response tallies, merged across client threads at the end.
 struct Tally {
@@ -147,14 +103,14 @@ int main(int argc, char** argv) {
     serve::chaos::ArmChaos(specs, /*seed=*/42);
   }
 
-  Probe probe;
+  serve::ToySystem probe(7);
   serve::ServerOptions opts;
   opts.beam_size = 4;
   opts.degraded_beam = 2;
   opts.cache_ttl_ms = 50.0;  // lets repeated histories age into the
                              // stale tier mid-run
   opts.slow_request_ms = 0.0;
-  serve::Server server(*probe.model, *probe.trie, *probe.token_map,
+  serve::Server server(probe.model, probe.trie, probe.token_map,
                        probe.Builder(), opts);
 
   constexpr int kThreads = 3;

@@ -12,21 +12,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "ckpt/health.h"
-#include "core/rng.h"
-#include "llm/minillm.h"
 #include "obs/debugz.h"
 #include "obs/flightrec.h"
 #include "obs/http.h"
 #include "obs/promcheck.h"
-#include "quant/indexing.h"
 #include "serve/server.h"
-#include "text/vocab.h"
+#include "serve/toy_system.h"
 
 namespace {
 
@@ -51,46 +47,6 @@ void ExpectContains(const std::string& haystack, const std::string& needle,
   }
 }
 
-/// Same tiny system bench_serve loads: untrained MiniLlm over a random
-/// item index — decode cost is weight-independent, so this exercises the
-/// full serve path at CI-friendly speed.
-struct Probe {
-  text::Vocabulary vocab;
-  quant::ItemIndexing indexing = quant::ItemIndexing::VanillaId(1);
-  std::unique_ptr<quant::PrefixTrie> trie;
-  std::unique_ptr<llm::MiniLlm> model;
-  std::unique_ptr<llm::IndexTokenMap> token_map;
-
-  Probe() {
-    core::Rng rng(7);
-    indexing = quant::ItemIndexing::Random(/*items=*/48, /*levels=*/3,
-                                           /*codes=*/6, rng);
-    trie = std::make_unique<quant::PrefixTrie>(indexing);
-    for (const std::string& tok : indexing.AllTokenStrings()) {
-      vocab.AddToken(tok);
-    }
-    llm::MiniLlmConfig cfg;
-    cfg.vocab_size = vocab.size();
-    cfg.d_model = 32;
-    cfg.n_heads = 4;
-    cfg.n_layers = 2;
-    cfg.d_ff = 64;
-    cfg.max_seq = 64;
-    cfg.seed = 3;
-    model = std::make_unique<llm::MiniLlm>(cfg);
-    token_map = std::make_unique<llm::IndexTokenMap>(indexing, vocab);
-  }
-
-  serve::PromptBuilder Builder() const {
-    int v = vocab.size();
-    return [v](const std::vector<int>& history) {
-      std::vector<int> prompt = {text::Vocabulary::kBos};
-      for (int item : history) prompt.push_back(4 + (item % (v - 4)));
-      return prompt;
-    };
-  }
-};
-
 std::string Get(int port, const std::string& target, int expect_status,
                 obs::HttpResponse* out = nullptr) {
   obs::HttpResponse response;
@@ -110,11 +66,11 @@ std::string Get(int port, const std::string& target, int expect_status,
 }  // namespace
 
 int main() {
-  Probe probe;
+  serve::ToySystem probe(7);
   serve::ServerOptions opts;
   opts.debug_port = 0;  // ephemeral: the gate must not collide with anything
   opts.trace_sample_n = 1;
-  serve::Server server(*probe.model, *probe.trie, *probe.token_map,
+  serve::Server server(probe.model, probe.trie, probe.token_map,
                        probe.Builder(), opts);
 
   obs::DebugServer& debugz = obs::DebugServer::Global();

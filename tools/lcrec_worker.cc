@@ -7,11 +7,11 @@
 //                [--debug-port=N] [--debug-port-file=PATH]
 //                [--dispatch-threads=N]
 //
-// The model is the same deterministic tiny system bench_serve and the
-// probes build: every worker started with the same --seed holds
-// bit-identical weights, so the router's answers are bit-identical to a
-// direct in-process serve::Server::Recommend whichever shard serves
-// them.
+// The model is serve::ToySystem, the deterministic tiny system
+// bench_serve and the probes serve too: every worker started with the
+// same --seed holds bit-identical weights, so the router's answers are
+// bit-identical to a direct in-process serve::Server::Recommend
+// whichever shard serves them.
 //
 // Shutdown contract (the drain half of the router handoff): on SIGTERM
 // the worker closes its listener first — the router re-resolves new
@@ -23,20 +23,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/rng.h"
-#include "llm/minillm.h"
 #include "net/rpc.h"
 #include "net/service.h"
 #include "obs/debugz.h"
 #include "obs/log.h"
-#include "quant/indexing.h"
 #include "serve/server.h"
-#include "text/vocab.h"
+#include "serve/toy_system.h"
 
 namespace {
 
@@ -45,45 +41,6 @@ using namespace lcrec;
 volatile std::sig_atomic_t g_shutdown = 0;
 
 void OnSignal(int) { g_shutdown = 1; }
-
-/// Same tiny deterministic system as bench_serve / chaos_probe: an
-/// untrained MiniLlm over a seeded random item index.
-struct System {
-  text::Vocabulary vocab;
-  quant::ItemIndexing indexing = quant::ItemIndexing::VanillaId(1);
-  std::unique_ptr<quant::PrefixTrie> trie;
-  std::unique_ptr<llm::MiniLlm> model;
-  std::unique_ptr<llm::IndexTokenMap> token_map;
-
-  explicit System(uint64_t seed) {
-    core::Rng rng(seed);
-    indexing = quant::ItemIndexing::Random(/*items=*/48, /*levels=*/3,
-                                           /*codes=*/6, rng);
-    trie = std::make_unique<quant::PrefixTrie>(indexing);
-    for (const std::string& tok : indexing.AllTokenStrings()) {
-      vocab.AddToken(tok);
-    }
-    llm::MiniLlmConfig cfg;
-    cfg.vocab_size = vocab.size();
-    cfg.d_model = 32;
-    cfg.n_heads = 4;
-    cfg.n_layers = 2;
-    cfg.d_ff = 64;
-    cfg.max_seq = 64;
-    cfg.seed = 3;
-    model = std::make_unique<llm::MiniLlm>(cfg);
-    token_map = std::make_unique<llm::IndexTokenMap>(indexing, vocab);
-  }
-
-  serve::PromptBuilder Builder() const {
-    int v = vocab.size();
-    return [v](const std::vector<int>& history) {
-      std::vector<int> prompt = {text::Vocabulary::kBos};
-      for (int item : history) prompt.push_back(4 + (item % (v - 4)));
-      return prompt;
-    };
-  }
-};
 
 bool FlagValue(const char* arg, const char* name, const char** value) {
   size_t n = std::strlen(name);
@@ -138,11 +95,11 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, OnSignal);
   std::signal(SIGINT, OnSignal);
 
-  System system(seed);
+  serve::ToySystem system(seed);
   serve::ServerOptions sopts;
   sopts.beam_size = 4;
   sopts.slow_request_ms = 0.0;
-  serve::Server server(*system.model, *system.trie, *system.token_map,
+  serve::Server server(system.model, system.trie, system.token_map,
                        system.Builder(), sopts);
 
   net::RpcServerOptions ropts;
